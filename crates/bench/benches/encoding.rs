@@ -28,7 +28,7 @@ fn bench_encoding(c: &mut Criterion) {
     let varlen = VarlenPh::new(schema, &key).unwrap();
 
     // Report ciphertext sizes once (criterion measures time; sizes go
-    // to stderr so EXPERIMENTS.md can quote them).
+    // to stderr beside the timings).
     let fixed_ct = fixed.encrypt_table(&relation).unwrap();
     let varlen_ct = varlen.encrypt_table(&relation).unwrap();
     eprintln!(

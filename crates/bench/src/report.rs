@@ -1,7 +1,7 @@
 //! Minimal aligned-table rendering for experiment binaries.
 //!
-//! Output is GitHub-flavoured markdown so EXPERIMENTS.md can embed the
-//! tables verbatim.
+//! Output is GitHub-flavoured markdown, so a table can be pasted into
+//! any markdown document verbatim.
 
 /// A simple column-aligned markdown table.
 #[derive(Debug, Clone)]

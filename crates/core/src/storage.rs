@@ -22,12 +22,13 @@
 //! Within each `(term, shard)` task the inner loop is the PR 4
 //! allocation-free hot path: shards store their ciphertext columnarly
 //! ([`crate::arena::WordArena`] — one contiguous fixed-width slot
-//! buffer plus per-document offsets) and the 4-lane
-//! [`dbph_swp::ScanKernel`] streams those slots through an interleaved
-//! SHA-256 PRF pipeline, deciding four words per dispatch with zero
-//! per-check allocation. The kernel shares the scalar check's decision
-//! function, so candidate sets — and with them responses and
-//! transcripts — are byte-identical to the scalar scan.
+//! buffer plus per-document offsets) and [`dbph_swp::ScanKernel`]
+//! streams those slots through an interleaved SHA-256 PRF pipeline,
+//! deciding [`dbph_swp::kernel::LANES`] words per dispatch (16 under
+//! AVX2/AVX-512, 4 otherwise) with zero per-check allocation. The
+//! kernel shares the scalar check's decision function, so candidate
+//! sets — and with them responses and transcripts — are byte-identical
+//! to the scalar scan.
 //!
 //! Three properties are load-bearing and tested:
 //!
@@ -135,7 +136,7 @@ fn doc_matches_scalar(
 }
 
 /// Feeds every regular word of the documents produced by `doc_indices`
-/// through the 4-lane [`ScanKernel`], collecting the (ascending)
+/// through the `LANES`-wide [`ScanKernel`], collecting the (ascending)
 /// indices of documents with at least one matching word. Decisions are
 /// the scalar check's decisions — the kernel only reorders *when* the
 /// PRF work happens. Irregular words (wrong stored length) are skipped

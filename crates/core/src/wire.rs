@@ -199,12 +199,21 @@ impl<T: WireDecode> WireDecode for Vec<T> {
                 "length {len} exceeds remaining input"
             )));
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(initial_capacity::<T>(len, r.remaining()));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
         Ok(out)
     }
+}
+
+/// Elements to reserve before decoding a `Vec<T>` that claims `len`
+/// elements with `remaining` input bytes left. The count is
+/// peer-supplied and `T` may be far wider in memory than its ≥ 1-byte
+/// encoding, so the reservation is clamped to at most `remaining`
+/// bytes of memory; a truthful count grows past it while decoding.
+fn initial_capacity<T>(len: usize, remaining: usize) -> usize {
+    len.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
 impl<T: WireEncode> WireEncode for Option<T> {
@@ -373,6 +382,33 @@ mod tests {
         (1u64 << 60).encode(&mut bytes);
         bytes.extend_from_slice(&[0u8; 8]);
         assert!(Vec::<u64>::from_wire(&bytes).is_err());
+    }
+
+    #[test]
+    fn inflated_element_count_reserves_at_most_the_input() {
+        // A count that passes the ≥ 1-byte-per-element guard but lies:
+        // 2^20 wide elements (a `Vec<u64>` header is 24 bytes of
+        // memory each) announced in a 1 MiB frame of zeros.
+        let len = 1usize << 20;
+        let mut bytes = Vec::new();
+        len.encode(&mut bytes);
+        bytes.resize(8 + len, 0);
+        let reserve = initial_capacity::<Vec<u64>>(len, len);
+        assert!(reserve * std::mem::size_of::<Vec<u64>>() <= len);
+        assert!(matches!(
+            Vec::<Vec<u64>>::from_wire(&bytes),
+            Err(PhError::Wire(_))
+        ));
+        // Byte-sized elements reserve the count, up to the input.
+        assert_eq!(initial_capacity::<u8>(7, 9), 7);
+        assert_eq!(initial_capacity::<u8>(7, 3), 3);
+
+        // The clamp only limits the first reservation: truthful
+        // vectors of wide elements still decode in full.
+        let nested: Vec<Vec<u64>> = (0..300u64).map(|i| vec![i; (i % 3) as usize]).collect();
+        roundtrip(nested);
+        let wide: Vec<(u64, String)> = (0..100u64).map(|i| (i, i.to_string())).collect();
+        roundtrip(wide);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! for bucket tags, and authenticates sealed ciphertexts.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
-use crate::sha256x4::Sha256x4;
+use crate::sha256x4::Sha256Lanes;
 
 /// Output length of HMAC-SHA-256 in bytes.
 pub const MAC_LEN: usize = DIGEST_LEN;
@@ -73,21 +73,21 @@ impl HmacSha256 {
         *out = outer.finalize();
     }
 
-    /// Four-lane hashers seeded with this MAC's `(inner, outer)` key
-    /// schedules — the entry point for evaluating one key against four
+    /// `N`-lane hashers seeded with this MAC's `(inner, outer)` key
+    /// schedules — the entry point for evaluating one key against `N`
     /// messages in a single interleaved pipeline
-    /// ([`crate::prf::HmacPrf::eval4_into`]). Only valid on a pristine
+    /// ([`crate::prf::HmacPrf::eval_lanes_into`]). Only valid on a pristine
     /// keyed state (no message absorbed yet), which is block-aligned
     /// after the `ipad`/`opad` blocks.
-    pub(crate) fn keyed_lanes(&self) -> (Sha256x4, Sha256x4) {
+    pub(crate) fn keyed_lanes<const N: usize>(&self) -> (Sha256Lanes<N>, Sha256Lanes<N>) {
         (
-            Sha256x4::from_sha256(&self.inner),
-            Sha256x4::from_sha256(&self.outer),
+            Sha256Lanes::from_sha256(&self.inner),
+            Sha256Lanes::from_sha256(&self.outer),
         )
     }
 
     /// The bare `(inner, outer)` compression states after the
-    /// `ipad`/`opad` blocks — for the single-block 4-lane fast path,
+    /// `ipad`/`opad` blocks — for the single-block multi-lane fast path,
     /// which pads its own blocks and runs the raw interleaved
     /// compression. Same pristine-state requirement as
     /// [`Self::keyed_lanes`].

@@ -9,7 +9,7 @@
 
 use crate::hmac::{HmacSha256, MAC_LEN};
 use crate::sha256::BLOCK_LEN;
-use crate::sha256x4::{compress4_states, write_digests, LANES};
+use crate::sha256x4::{compress_states, write_digests};
 
 /// A keyed pseudorandom function producing arbitrary-length output.
 pub trait Prf: Clone + Send + Sync {
@@ -47,25 +47,25 @@ impl HmacPrf {
         }
     }
 
-    /// Evaluates the PRF on four equal-length inputs at once, writing
-    /// `outs[l].len()` bytes for lane `l` (all four lengths equal).
+    /// Evaluates the PRF on `N` equal-length inputs at once, writing
+    /// `outs[l].len()` bytes for lane `l` (all `N` lengths equal).
     ///
-    /// Bit-identical to four [`Prf::eval_into`] calls, but the eight
-    /// underlying SHA-256 compressions per block (four inner, four
-    /// outer) run through one interleaved 4-lane pipeline
-    /// ([`crate::sha256x4::Sha256x4`]) and the key schedule is shared —
-    /// this is the dispatch unit of the server-side scan kernel.
-    /// Allocation-free.
+    /// Bit-identical to `N` [`Prf::eval_into`] calls, but the `2N`
+    /// underlying SHA-256 compressions per block (`N` inner, `N` outer)
+    /// run through one interleaved `N`-lane pipeline
+    /// ([`crate::sha256x4::Sha256Lanes`]) and the key schedule is
+    /// shared. At `N` = [`crate::sha256x4::LANES`] this is the dispatch
+    /// unit of the server-side scan kernel. Allocation-free.
     ///
     /// # Panics
     /// Panics if the input lengths or the output lengths differ across
     /// lanes (the lanes advance in lockstep).
-    pub fn eval4_into(&self, msgs: [&[u8]; LANES], outs: &mut [&mut [u8]; LANES]) {
-        let msg_len = msgs[0].len();
-        let out_len = outs[0].len();
+    pub fn eval_lanes_into<const N: usize>(&self, msgs: [&[u8]; N], outs: &mut [&mut [u8]; N]) {
+        let msg_len = msgs.first().map_or(0, |m| m.len());
+        let out_len = outs.first().map_or(0, |o| o.len());
         assert!(
             msgs.iter().all(|m| m.len() == msg_len) && outs.iter().all(|o| o.len() == out_len),
-            "eval4_into lanes must advance in lockstep (equal lengths)"
+            "eval_lanes_into lanes must advance in lockstep (equal lengths)"
         );
         // Room for message + counter + 0x80 + the 64-bit length?
         let single_block = msg_len + 4 + 1 + 8 <= BLOCK_LEN;
@@ -73,16 +73,16 @@ impl HmacPrf {
         let mut counter: u32 = 0;
         while offset < out_len {
             let ctr = counter.to_be_bytes();
-            let mut tags = [[0u8; MAC_LEN]; LANES];
+            let mut tags = [[0u8; MAC_LEN]; N];
             if single_block {
-                self.block4(msgs, msg_len, &ctr, &mut tags);
+                self.block_lanes(msgs, msg_len, &ctr, &mut tags);
             } else {
                 let (mut inner, mut outer) = self.mac.keyed_lanes();
                 inner.update(msgs);
-                inner.update([&ctr; LANES]);
-                let mut digests = [[0u8; MAC_LEN]; LANES];
+                inner.update([&ctr; N]);
+                let mut digests = [[0u8; MAC_LEN]; N];
                 inner.finalize_into(&mut digests);
-                outer.update([&digests[0], &digests[1], &digests[2], &digests[3]]);
+                outer.update(std::array::from_fn(|l| &digests[l][..]));
                 outer.finalize_into(&mut tags);
             }
             let take = (out_len - offset).min(MAC_LEN);
@@ -94,22 +94,22 @@ impl HmacPrf {
         }
     }
 
-    /// One HMAC counter block for four short messages: both hashes are
+    /// One HMAC counter block for `N` short messages: both hashes are
     /// exactly one compression each (the common scan shape — the check
     /// PRF input is `stream_len + 4` bytes, far under a block), so the
     /// blocks are padded in place and fed straight to the raw
     /// interleaved compression, skipping all buffering.
-    fn block4(
+    fn block_lanes<const N: usize>(
         &self,
-        msgs: [&[u8]; LANES],
+        msgs: [&[u8]; N],
         msg_len: usize,
         ctr: &[u8; 4],
-        tags: &mut [[u8; MAC_LEN]; LANES],
+        tags: &mut [[u8; MAC_LEN]; N],
     ) {
         let (inner_state, outer_state) = self.mac.lane_states();
         // Inner: ipad block ‖ msg ‖ ctr, padded.
         let n = msg_len + 4;
-        let mut blocks = [[0u8; BLOCK_LEN]; LANES];
+        let mut blocks = [[0u8; BLOCK_LEN]; N];
         for (block, msg) in blocks.iter_mut().zip(&msgs) {
             block[..msg_len].copy_from_slice(msg);
             block[msg_len..n].copy_from_slice(ctr);
@@ -117,20 +117,20 @@ impl HmacPrf {
             let bits = ((BLOCK_LEN + n) as u64) * 8;
             block[56..].copy_from_slice(&bits.to_be_bytes());
         }
-        let mut states = [inner_state; LANES];
-        compress4_states(&mut states, &blocks);
-        let mut digests = [[0u8; MAC_LEN]; LANES];
+        let mut states = [inner_state; N];
+        compress_states(&mut states, &blocks);
+        let mut digests = [[0u8; MAC_LEN]; N];
         write_digests(&states, &mut digests);
         // Outer: opad block ‖ digest, padded (always single-block).
-        let mut blocks = [[0u8; BLOCK_LEN]; LANES];
+        let mut blocks = [[0u8; BLOCK_LEN]; N];
         for (block, digest) in blocks.iter_mut().zip(&digests) {
             block[..MAC_LEN].copy_from_slice(digest);
             block[MAC_LEN] = 0x80;
             let bits = ((BLOCK_LEN + MAC_LEN) as u64) * 8;
             block[56..].copy_from_slice(&bits.to_be_bytes());
         }
-        let mut states = [outer_state; LANES];
-        compress4_states(&mut states, &blocks);
+        let mut states = [outer_state; N];
+        compress_states(&mut states, &blocks);
         write_digests(&states, tags);
     }
 }
@@ -169,6 +169,7 @@ impl Prf for ZeroPrf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256x4::LANES;
 
     #[test]
     fn deterministic() {
@@ -207,27 +208,25 @@ mod tests {
         assert_eq!(buf.to_vec(), prf.eval(b"msg", 48));
     }
 
-    #[test]
-    fn eval4_into_matches_four_scalar_evals() {
+    /// `N` lanes at once equal `N` scalar evaluations, at the
+    /// production width and one other.
+    fn eval_lanes_matches_scalar<const N: usize>() {
         // Single-block and counter-mode output lengths, several message
         // lengths including empty and block-crossing.
         let prf = HmacPrf::new(b"lane key");
         for msg_len in [0usize, 1, 5, 9, 31, 59, 60, 64, 100] {
             for out_len in [1usize, 3, 4, 32, 33, 64, 100] {
-                let msgs: Vec<Vec<u8>> = (0..4u8).map(|l| vec![l ^ 0x5A; msg_len]).collect();
-                let mut bufs = vec![vec![0u8; out_len]; 4];
-                {
-                    let [b0, b1, b2, b3] = &mut bufs[..] else {
-                        unreachable!()
-                    };
-                    let mut outs = [&mut b0[..], &mut b1[..], &mut b2[..], &mut b3[..]];
-                    prf.eval4_into([&msgs[0], &msgs[1], &msgs[2], &msgs[3]], &mut outs);
-                }
+                let msgs: [Vec<u8>; N] = std::array::from_fn(|l| vec![l as u8 ^ 0x5A; msg_len]);
+                let mut bufs: [Vec<u8>; N] = std::array::from_fn(|_| vec![0u8; out_len]);
+                prf.eval_lanes_into(
+                    std::array::from_fn(|l| &msgs[l][..]),
+                    &mut bufs.each_mut().map(|b| &mut b[..]),
+                );
                 for (l, (msg, buf)) in msgs.iter().zip(&bufs).enumerate() {
                     assert_eq!(
                         buf,
                         &prf.eval(msg, out_len),
-                        "lane {l} diverged at msg_len {msg_len}, out_len {out_len}"
+                        "lane {l} of {N} diverged at msg_len {msg_len}, out_len {out_len}"
                     );
                 }
             }
@@ -235,13 +234,25 @@ mod tests {
     }
 
     #[test]
+    fn eval_lanes_into_matches_scalar_evals() {
+        eval_lanes_matches_scalar::<LANES>();
+        eval_lanes_matches_scalar::<{ 2 * LANES }>();
+    }
+
+    #[test]
     #[should_panic(expected = "lockstep")]
-    fn eval4_into_rejects_unequal_lanes() {
+    fn eval_lanes_into_rejects_unequal_lanes() {
         let prf = HmacPrf::new(b"k");
-        let mut bufs = [[0u8; 4]; 4];
-        let [b0, b1, b2, b3] = &mut bufs;
-        let mut outs = [&mut b0[..], &mut b1[..], &mut b2[..], &mut b3[..]];
-        prf.eval4_into([b"aa", b"aa", b"aa", b"a"], &mut outs);
+        let mut bufs = [[0u8; 4]; LANES];
+        // Every lane "aa" except the last, which is one byte short.
+        let msgs: [&[u8]; LANES] = std::array::from_fn(|l| {
+            if l + 1 == LANES {
+                &b"a"[..]
+            } else {
+                &b"aa"[..]
+            }
+        });
+        prf.eval_lanes_into(msgs, &mut bufs.each_mut().map(|b| &mut b[..]));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Two sources exist: the operating system (for real key generation)
 //! and a deterministic ChaCha20-based generator (for reproducible
-//! experiments — every experiment binary takes a seed so that tables in
-//! EXPERIMENTS.md can be regenerated bit-for-bit).
+//! experiments — every experiment binary in `crates/bench/src/bin/`
+//! takes a seed, so its tables regenerate bit-for-bit).
 
 use crate::chacha20;
 

@@ -139,8 +139,8 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Snapshot of `(state, bytes absorbed)` for seeding the 4-lane
-    /// hasher ([`crate::sha256x4::Sha256x4::from_state`]). Only valid at
+    /// Snapshot of `(state, bytes absorbed)` for seeding the multi-lane
+    /// hasher ([`crate::sha256x4::Sha256Lanes::from_state`]). Only valid at
     /// a block boundary — the lanes have no way to share a partial
     /// block.
     pub(crate) fn lane_seed(&self) -> ([u32; 8], u64) {

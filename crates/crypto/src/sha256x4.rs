@@ -1,31 +1,43 @@
-//! Four-lane instruction-level-parallel SHA-256.
+//! Multi-lane instruction-level-parallel SHA-256.
 //!
 //! A single SHA-256 compression is a long dependency chain: each of the
 //! 64 rounds needs the previous round's working variables, so a modern
-//! out-of-order core spends most of its issue width waiting. Four
+//! out-of-order core spends most of its issue width waiting. `N`
 //! *independent* compressions, interleaved instruction by instruction,
 //! fill those idle slots — the classic multi-buffer technique (as in
 //! OpenSSL's SHA multi-block and Intel's isa-l), here written as plain
-//! portable Rust: every round operates on `[u32; 4]` lane arrays and
-//! the compiler schedules (and often vectorizes) the four independent
+//! portable Rust: every round operates on `[u32; N]` lane arrays and
+//! the compiler schedules (and often vectorizes) the `N` independent
 //! data flows.
 //!
 //! The consumer is the server-side trapdoor scan: one HMAC check-PRF
 //! evaluation per `(trapdoor, cipher word)` pair, millions per query,
 //! all under the *same* key and all over equal-length messages. That
-//! shape is exactly what this type supports — four lanes advancing in
+//! shape is exactly what this type supports — `N` lanes advancing in
 //! lockstep (equal-length updates), seeded either fresh or from one
 //! shared block-aligned prefix state (the HMAC key schedule, run once).
 //!
+//! The lane count is a const generic, so there is one implementation
+//! for every width; production instantiates the single width
+//! [`LANES`], fixed at compile time per codegen target.
+//!
 //! This is a pure scheduling transform: each lane computes bit-for-bit
-//! the digest [`Sha256`] computes (the module tests pin that), so
-//! callers funnel into identical accept/reject decisions whichever
-//! path ran.
+//! the digest [`Sha256`] computes (the module tests pin that for every
+//! width), so callers funnel into identical accept/reject decisions
+//! whichever path ran.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// Number of interleaved hash lanes.
-pub const LANES: usize = 4;
+/// Lane count the scan kernel instantiates, chosen per codegen target
+/// by a measured sweep (the table and host are in
+/// `.cargo/config.toml`; rerun it with the `scan_kernel` bench). With
+/// AVX2 or AVX-512 (which implies AVX2) sixteen lanes decide scan
+/// words fastest: about 2.5× four lanes per compression under
+/// AVX-512, about 1.2× per scanned word under AVX2, where thirty-two
+/// compress faster still but lose it again to staging. Without AVX2
+/// the vector rotate is missing, wider lanes scalarize, and four is
+/// the fastest width measured.
+pub const LANES: usize = if cfg!(target_feature = "avx2") { 16 } else { 4 };
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2) — same table the scalar
 /// implementation uses.
@@ -45,45 +57,40 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Four SHA-256 computations advancing in lockstep.
+/// `N` SHA-256 computations advancing in lockstep.
 ///
 /// All lanes must absorb the same number of bytes per [`update`]
 /// (enforced), so one shared buffer fill level and total length cover
-/// all four. Finalization pads every lane identically and runs the
-/// last compression 4-wide.
+/// all `N`. Finalization pads every lane identically and runs the
+/// last compression `N`-wide.
 ///
-/// [`update`]: Sha256x4::update
+/// [`update`]: Sha256Lanes::update
 #[derive(Clone)]
-pub struct Sha256x4 {
+pub struct Sha256Lanes<const N: usize> {
     /// Per-lane hash state.
-    states: [[u32; 8]; LANES],
+    states: [[u32; 8]; N],
     /// Per-lane partial-block buffers (same fill level in every lane).
-    buf: [[u8; BLOCK_LEN]; LANES],
+    buf: [[u8; BLOCK_LEN]; N],
     /// Valid bytes in each lane's buffer.
     buf_len: usize,
     /// Bytes absorbed per lane (equal by construction).
     total_len: u64,
 }
 
-impl Default for Sha256x4 {
+impl<const N: usize> Default for Sha256Lanes<N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Sha256x4 {
-    /// Four fresh hashers.
+impl<const N: usize> Sha256Lanes<N> {
+    /// `N` fresh hashers.
     #[must_use]
     pub fn new() -> Self {
-        Sha256x4 {
-            states: [H0; LANES],
-            buf: [[0u8; BLOCK_LEN]; LANES],
-            buf_len: 0,
-            total_len: 0,
-        }
+        Self::from_state(H0, 0)
     }
 
-    /// Four hashers that have all absorbed the same block-aligned
+    /// `N` hashers that have all absorbed the same block-aligned
     /// prefix, given that prefix's `(state, length)` — the shape HMAC
     /// needs: the key schedule (one `ipad`/`opad` block) runs once and
     /// every lane continues from it.
@@ -98,15 +105,15 @@ impl Sha256x4 {
             0,
             "lane prefix must be block-aligned"
         );
-        Sha256x4 {
-            states: [state; LANES],
-            buf: [[0u8; BLOCK_LEN]; LANES],
+        Sha256Lanes {
+            states: [state; N],
+            buf: [[0u8; BLOCK_LEN]; N],
             buf_len: 0,
             total_len: prefix_len,
         }
     }
 
-    /// Four hashers continuing a scalar hasher's block-aligned state
+    /// `N` hashers continuing a scalar hasher's block-aligned state
     /// (see [`Sha256`]); the seed for the HMAC inner/outer lanes.
     #[must_use]
     pub fn from_sha256(h: &Sha256) -> Self {
@@ -114,13 +121,13 @@ impl Sha256x4 {
         Self::from_state(state, len)
     }
 
-    /// Absorbs `msgs[l]` into lane `l`. All four messages must have the
+    /// Absorbs `msgs[l]` into lane `l`. All `N` messages must have the
     /// same length — the lanes advance in lockstep.
     ///
     /// # Panics
     /// Panics if the message lengths differ.
-    pub fn update(&mut self, msgs: [&[u8]; LANES]) {
-        let len = msgs[0].len();
+    pub fn update(&mut self, msgs: [&[u8]; N]) {
+        let len = msgs.first().map_or(0, |m| m.len());
         assert!(
             msgs.iter().all(|m| m.len() == len),
             "lanes must advance in lockstep (equal-length updates)"
@@ -137,19 +144,19 @@ impl Sha256x4 {
             self.buf_len += take;
             pos = take;
             if self.buf_len == BLOCK_LEN {
-                let blocks = self.buf;
-                self.compress4(&blocks);
+                compress_states(&mut self.states, &self.buf);
                 self.buf_len = 0;
             }
         }
 
-        // Whole blocks, four at a time across the lanes.
+        // Whole blocks, `N` at a time across the lanes.
         while len - pos >= BLOCK_LEN {
-            let mut blocks = [[0u8; BLOCK_LEN]; LANES];
-            for (block, msg) in blocks.iter_mut().zip(&msgs) {
-                block.copy_from_slice(&msg[pos..pos + BLOCK_LEN]);
-            }
-            self.compress4(&blocks);
+            let blocks: [[u8; BLOCK_LEN]; N] = std::array::from_fn(|l| {
+                msgs[l][pos..pos + BLOCK_LEN]
+                    .try_into()
+                    .expect("slice is one block long")
+            });
+            compress_states(&mut self.states, &blocks);
             pos += BLOCK_LEN;
         }
 
@@ -162,10 +169,10 @@ impl Sha256x4 {
         }
     }
 
-    /// Finishes all four computations, writing lane `l`'s digest to
+    /// Finishes all `N` computations, writing lane `l`'s digest to
     /// `out[l]`. Padding is identical across lanes (equal lengths), so
-    /// the final compressions run 4-wide too.
-    pub fn finalize_into(mut self, out: &mut [[u8; DIGEST_LEN]; LANES]) {
+    /// the final compressions run `N`-wide too.
+    pub fn finalize_into(mut self, out: &mut [[u8; DIGEST_LEN]; N]) {
         let bit_len = self.total_len.wrapping_mul(8);
         let n = self.buf_len;
         for buf in &mut self.buf {
@@ -176,8 +183,7 @@ impl Sha256x4 {
             for buf in &mut self.buf {
                 buf[n + 1..].fill(0);
             }
-            let blocks = self.buf;
-            self.compress4(&blocks);
+            compress_states(&mut self.states, &self.buf);
             for buf in &mut self.buf {
                 buf[..56].fill(0);
             }
@@ -189,19 +195,16 @@ impl Sha256x4 {
         for buf in &mut self.buf {
             buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         }
-        let blocks = self.buf;
-        self.compress4(&blocks);
+        compress_states(&mut self.states, &self.buf);
         write_digests(&self.states, out);
-    }
-
-    /// FIPS 180-4 §6.2.2 over four independent blocks, interleaved.
-    fn compress4(&mut self, blocks: &[[u8; BLOCK_LEN]; LANES]) {
-        compress4_states(&mut self.states, blocks);
     }
 }
 
-/// Serializes four lane states into four big-endian digests.
-pub(crate) fn write_digests(states: &[[u32; 8]; LANES], out: &mut [[u8; DIGEST_LEN]; LANES]) {
+/// Serializes `N` lane states into `N` big-endian digests.
+pub(crate) fn write_digests<const N: usize>(
+    states: &[[u32; 8]; N],
+    out: &mut [[u8; DIGEST_LEN]; N],
+) {
     for (digest, state) in out.iter_mut().zip(states) {
         for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -209,21 +212,22 @@ pub(crate) fn write_digests(states: &[[u32; 8]; LANES], out: &mut [[u8; DIGEST_L
     }
 }
 
-/// The interleaved compression over bare states — shared by the
-/// incremental [`Sha256x4`] and the crate-internal single-block HMAC
-/// fast path ([`crate::prf::HmacPrf::eval4_into`]), which pads its
-/// blocks itself and skips the buffering machinery entirely.
+/// FIPS 180-4 §6.2.2 over `N` independent blocks, interleaved: lane
+/// `l` compresses `blocks[l]` into `states[l]`. Shared by the
+/// incremental [`Sha256Lanes`] and the single-block HMAC fast path
+/// ([`crate::prf::HmacPrf::eval_lanes_into`]), which pads its blocks
+/// itself and skips the buffering machinery entirely.
 ///
-/// Written in the multi-buffer idiom: every value is a [`V4`]
-/// (`[u32; LANES]` elementwise ops) and the 64 rounds are unrolled in
+/// Written in the multi-buffer idiom: every value is a `V`
+/// (`[u32; N]` elementwise ops) and the 64 rounds are unrolled in
 /// the classic 8-round register-rotation pattern, so the whole body is
 /// straight-line SSA over vectors — LLVM keeps the working variables
-/// in SIMD registers and the four dependency chains issue in parallel.
+/// in SIMD registers and the `N` dependency chains issue in parallel.
 /// (The x86-64 SSE2 baseline has no vector rotate; build with a target
 /// that does — see `.cargo/config.toml` — for the full effect.)
-pub(crate) fn compress4_states(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_LEN]; LANES]) {
-    // Message schedules, lane-minor: w[t] is one `[u32; LANES]`.
-    let mut w = [V4([0u32; LANES]); 64];
+pub fn compress_states<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[[u8; BLOCK_LEN]; N]) {
+    // Message schedules, lane-minor: w[t] is one `[u32; N]`.
+    let mut w = [V([0u32; N]); 64];
     for (t, wt) in w.iter_mut().take(16).enumerate() {
         for (l, block) in blocks.iter().enumerate() {
             let i = t * 4;
@@ -237,7 +241,7 @@ pub(crate) fn compress4_states(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BL
     }
 
     // Transpose the state: one vector per working variable.
-    let load = |r: usize| V4(std::array::from_fn(|l| states[l][r]));
+    let load = |r: usize| V(std::array::from_fn(|l| states[l][r]));
     let mut a = load(0);
     let mut b = load(1);
     let mut c = load(2);
@@ -255,7 +259,7 @@ pub(crate) fn compress4_states(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BL
             let t1 = $h
                 .add($e.big_sigma(6, 11, 25))
                 .add($e.ch($f, $g))
-                .add(V4::splat(K[$t]))
+                .add(V::splat(K[$t]))
                 .add(w[$t]);
             let t2 = $a.big_sigma(2, 13, 22).add($a.maj($b, $c));
             $d = $d.add(t1);
@@ -282,36 +286,36 @@ pub(crate) fn compress4_states(states: &mut [[u32; 8]; LANES], blocks: &[[u8; BL
     }
 }
 
-/// `[u32; LANES]` with elementwise SHA-256 operations — the vector the
+/// `[u32; N]` with elementwise SHA-256 operations — the vector the
 /// interleaved compression is written in. Plain portable Rust; the
 /// fixed-width elementwise loops map straight onto SIMD registers.
 #[derive(Copy, Clone)]
-struct V4([u32; LANES]);
+struct V<const N: usize>([u32; N]);
 
-impl V4 {
+impl<const N: usize> V<N> {
     #[inline(always)]
     fn splat(k: u32) -> Self {
-        V4([k; LANES])
+        V([k; N])
     }
 
     #[inline(always)]
     fn add(self, o: Self) -> Self {
-        V4(std::array::from_fn(|l| self.0[l].wrapping_add(o.0[l])))
+        V(std::array::from_fn(|l| self.0[l].wrapping_add(o.0[l])))
     }
 
     #[inline(always)]
     fn rotr(self, n: u32) -> Self {
-        V4(std::array::from_fn(|l| self.0[l].rotate_right(n)))
+        V(std::array::from_fn(|l| self.0[l].rotate_right(n)))
     }
 
     #[inline(always)]
     fn shr(self, n: u32) -> Self {
-        V4(std::array::from_fn(|l| self.0[l] >> n))
+        V(std::array::from_fn(|l| self.0[l] >> n))
     }
 
     #[inline(always)]
     fn xor(self, o: Self) -> Self {
-        V4(std::array::from_fn(|l| self.0[l] ^ o.0[l]))
+        V(std::array::from_fn(|l| self.0[l] ^ o.0[l]))
     }
 
     /// `σ`: two rotations and a shift (message schedule).
@@ -329,7 +333,7 @@ impl V4 {
     /// `Ch(e, f, g) = (e ∧ f) ⊕ (¬e ∧ g)`.
     #[inline(always)]
     fn ch(self, f: Self, g: Self) -> Self {
-        V4(std::array::from_fn(|l| {
+        V(std::array::from_fn(|l| {
             (self.0[l] & f.0[l]) ^ (!self.0[l] & g.0[l])
         }))
     }
@@ -337,7 +341,7 @@ impl V4 {
     /// `Maj(a, b, c) = (a ∧ b) ⊕ (a ∧ c) ⊕ (b ∧ c)`.
     #[inline(always)]
     fn maj(self, b: Self, c: Self) -> Self {
-        V4(std::array::from_fn(|l| {
+        V(std::array::from_fn(|l| {
             (self.0[l] & b.0[l]) ^ (self.0[l] & c.0[l]) ^ (b.0[l] & c.0[l])
         }))
     }
@@ -361,7 +365,7 @@ mod tests {
     }
 
     fn lanes_digest(msgs: [&[u8]; LANES]) -> [[u8; DIGEST_LEN]; LANES] {
-        let mut h = Sha256x4::new();
+        let mut h = Sha256Lanes::new();
         h.update(msgs);
         let mut out = [[0u8; DIGEST_LEN]; LANES];
         h.finalize_into(&mut out);
@@ -375,10 +379,8 @@ mod tests {
         for len in [
             0usize, 1, 13, 54, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 300,
         ] {
-            let msgs: Vec<Vec<u8>> = (0..LANES as u64)
-                .map(|l| splatter(l * 7 + 1, len))
-                .collect();
-            let out = lanes_digest([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
+            let msgs: [Vec<u8>; LANES] = std::array::from_fn(|l| splatter(l as u64 * 7 + 1, len));
+            let out = lanes_digest(std::array::from_fn(|l| &msgs[l][..]));
             for (l, msg) in msgs.iter().enumerate() {
                 assert_eq!(
                     out[l],
@@ -389,23 +391,42 @@ mod tests {
         }
     }
 
+    /// One compression `N`-wide equals `N` scalar single-block hashes,
+    /// for every width the sweep considers (not only [`LANES`]).
+    fn compress_states_matches_scalar<const N: usize>() {
+        // Pad 55-byte messages by hand into one final block each.
+        let msgs: [Vec<u8>; N] = std::array::from_fn(|l| splatter(l as u64 + 3, 55));
+        let blocks: [[u8; BLOCK_LEN]; N] = std::array::from_fn(|l| {
+            let mut block = [0u8; BLOCK_LEN];
+            block[..55].copy_from_slice(&msgs[l]);
+            block[55] = 0x80;
+            block[56..].copy_from_slice(&(55u64 * 8).to_be_bytes());
+            block
+        });
+        let mut states = [H0; N];
+        compress_states(&mut states, &blocks);
+        let mut out = [[0u8; DIGEST_LEN]; N];
+        write_digests(&states, &mut out);
+        for (l, msg) in msgs.iter().enumerate() {
+            assert_eq!(out[l], Sha256::digest(msg), "lane {l} of {N} diverged");
+        }
+    }
+
+    #[test]
+    fn compress_states_matches_scalar_at_every_swept_width() {
+        compress_states_matches_scalar::<4>();
+        compress_states_matches_scalar::<8>();
+        compress_states_matches_scalar::<16>();
+        compress_states_matches_scalar::<32>();
+    }
+
     #[test]
     fn incremental_updates_match_oneshot() {
-        let msgs: Vec<Vec<u8>> = (0..LANES as u64).map(|l| splatter(l + 99, 200)).collect();
+        let msgs: [Vec<u8>; LANES] = std::array::from_fn(|l| splatter(l as u64 + 99, 200));
         for split in [0usize, 1, 63, 64, 65, 127, 199, 200] {
-            let mut h = Sha256x4::new();
-            h.update([
-                &msgs[0][..split],
-                &msgs[1][..split],
-                &msgs[2][..split],
-                &msgs[3][..split],
-            ]);
-            h.update([
-                &msgs[0][split..],
-                &msgs[1][split..],
-                &msgs[2][split..],
-                &msgs[3][split..],
-            ]);
+            let mut h = Sha256Lanes::new();
+            h.update(std::array::from_fn(|l| &msgs[l][..split]));
+            h.update(std::array::from_fn(|l| &msgs[l][split..]));
             let mut out = [[0u8; DIGEST_LEN]; LANES];
             h.finalize_into(&mut out);
             for (l, msg) in msgs.iter().enumerate() {
@@ -416,15 +437,15 @@ mod tests {
 
     #[test]
     fn from_state_continues_a_shared_prefix() {
-        // The HMAC shape: one 64-byte prefix absorbed once, then four
-        // different continuations.
+        // The HMAC shape: one 64-byte prefix absorbed once, then
+        // `LANES` different continuations.
         let prefix = splatter(5, BLOCK_LEN);
         let mut scalar_prefix = Sha256::new();
         scalar_prefix.update(&prefix);
 
-        let tails: Vec<Vec<u8>> = (0..LANES as u64).map(|l| splatter(l + 40, 77)).collect();
-        let mut lanes = Sha256x4::from_sha256(&scalar_prefix);
-        lanes.update([&tails[0], &tails[1], &tails[2], &tails[3]]);
+        let tails: [Vec<u8>; LANES] = std::array::from_fn(|l| splatter(l as u64 + 40, 77));
+        let mut lanes = Sha256Lanes::from_sha256(&scalar_prefix);
+        lanes.update(std::array::from_fn(|l| &tails[l][..]));
         let mut out = [[0u8; DIGEST_LEN]; LANES];
         lanes.finalize_into(&mut out);
 
@@ -438,13 +459,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "lockstep")]
     fn unequal_lane_lengths_rejected() {
-        let mut h = Sha256x4::new();
-        h.update([b"aa", b"aa", b"aa", b"a"]);
+        let mut h = Sha256Lanes::<LANES>::new();
+        // Every lane "aa" except the last, which is one byte short.
+        h.update(std::array::from_fn(|l| {
+            if l + 1 == LANES {
+                &b"a"[..]
+            } else {
+                &b"aa"[..]
+            }
+        }));
     }
 
     #[test]
     fn known_vector_in_every_lane() {
-        let out = lanes_digest([b"abc", b"abc", b"abc", b"abc"]);
+        let out = lanes_digest([b"abc"; LANES]);
         let expected = Sha256::digest(b"abc");
         for lane in &out {
             assert_eq!(lane, &expected);

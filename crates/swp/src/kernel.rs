@@ -4,23 +4,25 @@
 //! SWP check per `(trapdoor, cipher word)` pair, so scan throughput
 //! *is* system throughput. The scalar path ([`crate::search::matches`]
 //! and [`PreparedTrapdoor::matches`]) decides one word at a time; this
-//! kernel stages up to [`LANES`] words, XORs `C ⊕ X` into fixed stack
-//! buffers, and evaluates the four check PRFs through one interleaved
-//! SHA-256 pipeline ([`HmacPrf::eval4_into`]) — per check: zero heap
-//! allocations, zero key-schedule work, and roughly one core's worth of
-//! instruction-level parallelism that the scalar dependency chain
-//! leaves idle.
+//! kernel stages up to [`LANES`] words (16 under AVX2/AVX-512, 4
+//! otherwise; see [`sha256x4::LANES`]), XORs `C ⊕ X` into fixed stack
+//! buffers, and evaluates the [`LANES`] check PRFs through one
+//! interleaved SHA-256 pipeline ([`HmacPrf::eval_lanes_into`]) — per
+//! check: zero heap allocations, zero key-schedule work, and the SIMD
+//! width and instruction-level parallelism that the scalar dependency
+//! chain leaves idle.
 //!
 //! **Equivalence is load-bearing.** The kernel funnels into the *same*
 //! accept/reject decision as the scalar check: the lane PRF is proven
 //! bit-identical to [`Prf::eval_into`] (crypto-crate tests), the final
-//! comparison is the shared [`check_eq`], remainder lanes (1–3 trailing
-//! words at a flush) run the scalar [`check_match_bytes`] path, and
-//! length mismatches reject exactly as the scalar check does. Proptests
-//! (`tests/scan_kernel.rs`) and the unit sweep below enforce decision
-//! equality over random parameters, words, and lane remainders. Lane
-//! batching therefore changes *when* PRF work happens, never what any
-//! observer of decisions, responses, or transcripts sees.
+//! comparison is the shared [`check_eq`], remainder lanes (trailing
+//! words at a flush) run either one padded dispatch or the scalar
+//! `check_match_bytes` path, and length mismatches reject exactly as
+//! the scalar check does. Proptests (`tests/scan_kernel.rs`) and the
+//! unit sweep below enforce decision equality over random parameters,
+//! words, and every lane remainder. Lane batching therefore changes
+//! *when* PRF work happens, never what any observer of decisions,
+//! responses, or transcripts sees.
 
 use dbph_crypto::prf::{HmacPrf, Prf};
 use dbph_crypto::sha256x4;
@@ -30,6 +32,20 @@ use crate::search::{xor_halves, PreparedTrapdoor, MAX_INLINE_WORD};
 
 /// Words decided per interleaved PRF dispatch.
 pub const LANES: usize = sha256x4::LANES;
+
+/// Smallest flush remainder decided by one padded full-width dispatch
+/// rather than word by word through the scalar check: the measured
+/// break-even, where one dispatch costs about as much as this many
+/// scalar checks (`scan_kernel/remainder/*` bench rows). AVX-512
+/// dispatches 16 lanes for ~3 scalar checks, AVX2 for ~8; the 4-lane
+/// baseline dispatch costs ~3, so only a 3-word remainder pads.
+const PAD_FLUSH_MIN: usize = if cfg!(target_feature = "avx512f") {
+    3
+} else if cfg!(target_feature = "avx2") {
+    8
+} else {
+    3
+};
 
 /// A batch scan engine for one prepared trapdoor.
 ///
@@ -103,7 +119,7 @@ impl<'a> ScanKernel<'a> {
 
     /// Stages `cipher` (tagged `tag`) for a decision. The sink receives
     /// `(tag, decision)` pairs in push order; a push that fills the
-    /// fourth lane dispatches the interleaved PRF and drains all four.
+    /// last lane dispatches the interleaved PRF and drains all lanes.
     /// Use one sink for a whole push/flush sequence — decisions for
     /// earlier pushes may be emitted during later ones.
     pub fn push(&mut self, tag: u32, cipher: &[u8], sink: &mut impl FnMut(u32, bool)) {
@@ -137,10 +153,16 @@ impl<'a> ScanKernel<'a> {
         }
     }
 
-    /// Decides any staged remainder (1–3 lanes) through the scalar
-    /// zero-alloc path and emits it in order. Call once after the last
-    /// [`Self::push`].
+    /// Decides any staged remainder (up to `LANES - 1` words) and
+    /// emits it in order. Call once after the last [`Self::push`]. A
+    /// remainder of at least `PAD_FLUSH_MIN` words runs as one padded
+    /// dispatch with dead lanes; a shorter one goes through the scalar
+    /// zero-alloc path. Both reach the same decisions.
     pub fn flush(&mut self, sink: &mut impl FnMut(u32, bool)) {
+        if self.pending >= PAD_FLUSH_MIN {
+            self.dispatch(sink);
+            return;
+        }
         let split = self.params.stream_len();
         let check = self.params.check_len;
         for lane in 0..self.pending {
@@ -171,8 +193,11 @@ impl<'a> ScanKernel<'a> {
         self.flush(sink);
     }
 
-    /// One full 4-lane dispatch: interleaved PRF, then the same
-    /// [`check_eq`] decision as the scalar path, emitted in lane order.
+    /// One full-width dispatch: interleaved PRF over all [`LANES`]
+    /// lanes, then the same [`check_eq`] decision as the scalar path
+    /// for the `pending` staged lanes, emitted in lane order. Lanes at
+    /// or past `pending` (a padded flush) hold stale bytes of the right
+    /// length; their PRF output is computed and ignored.
     fn dispatch(&mut self, sink: &mut impl FnMut(u32, bool)) {
         let split = self.params.stream_len();
         let check = self.params.check_len;
@@ -180,24 +205,12 @@ impl<'a> ScanKernel<'a> {
             let ScanKernel {
                 s, expected, prf, ..
             } = self;
-            let [e0, e1, e2, e3] = expected;
-            let mut outs = [
-                &mut e0[..check],
-                &mut e1[..check],
-                &mut e2[..check],
-                &mut e3[..check],
-            ];
-            prf.eval4_into(
-                [
-                    &s[0][..split],
-                    &s[1][..split],
-                    &s[2][..split],
-                    &s[3][..split],
-                ],
-                &mut outs,
+            prf.eval_lanes_into(
+                std::array::from_fn(|l| &s[l][..split]),
+                &mut expected.each_mut().map(|e| &mut e[..check]),
             );
         }
-        for lane in 0..LANES {
+        for lane in 0..self.pending {
             let ok = self.live[lane]
                 && check_eq(
                     &self.params,
@@ -276,7 +289,9 @@ mod tests {
     fn kernel_agrees_with_scalar_over_params_and_remainders() {
         // Parameter shapes: tiny words, partial check bits, a check
         // block longer than one HMAC output (counter mode), and word
-        // counts hitting every lane remainder (0–3 trailing words).
+        // counts hitting every lane remainder (0 to LANES - 1 trailing
+        // words: the scalar flush and the padded dispatch) after zero,
+        // one and two full dispatches.
         for (word_len, check_len, check_bits) in [
             (8, 3, 24),
             (13, 4, 32),
@@ -292,7 +307,7 @@ mod tests {
                 key: key.clone(),
             };
             let prepared = PreparedTrapdoor::new(&td);
-            for count in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 23] {
+            for count in 0..=2 * LANES + 1 {
                 // A mix of matching, random, and wrong-length words.
                 let words: Vec<Vec<u8>> = (0..count as u64)
                     .map(|i| match i % 4 {
@@ -340,9 +355,9 @@ mod tests {
             target: target.clone(),
             key: key.clone(),
         });
-        // 11 slots: two dispatches plus a 3-lane remainder.
+        // Two dispatches plus a 3-word remainder.
         let mut slots = Vec::new();
-        for i in 0..11u64 {
+        for i in 0..(2 * LANES + 3) as u64 {
             if i % 3 == 0 {
                 slots.extend(consistent_word(&params, &target, &key, i));
             } else {

@@ -27,7 +27,7 @@ pub(crate) const MAX_INLINE_WORD: usize = 256;
 /// `F_k(P_left) ≡ P_right (mod 2^check_bits)`. Every entry point
 /// ([`matches`], [`PreparedTrapdoor::matches`], and the remainder path
 /// of [`crate::kernel::ScanKernel`]) funnels here so the paths cannot
-/// diverge; the 4-lane kernel shares the final [`check_eq`] decision
+/// diverge; the multi-lane kernel shares the final [`check_eq`] decision
 /// and a PRF proven bit-identical to [`Prf::eval_into`].
 ///
 /// Allocation-free for `word_len ≤ MAX_INLINE_WORD`: the XORed halves
@@ -153,7 +153,7 @@ impl PreparedTrapdoor {
     }
 
     /// The keyed check PRF (key schedule hoisted) — shared with the
-    /// 4-lane [`crate::kernel::ScanKernel`].
+    /// multi-lane [`crate::kernel::ScanKernel`].
     pub(crate) fn prf(&self) -> &HmacPrf {
         &self.prf
     }

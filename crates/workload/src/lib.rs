@@ -1,9 +1,9 @@
 //! Reproducible workload generators for the dbph experiments.
 //!
-//! Every experiment in EXPERIMENTS.md regenerates from a 64-bit seed:
-//! generators here take a [`dbph_crypto::DeterministicRng`] (or a raw
-//! seed) and produce the same relations and query mixes on every
-//! platform.
+//! Every experiment binary (`crates/bench/src/bin/`) regenerates from
+//! a 64-bit seed: generators here take a
+//! [`dbph_crypto::DeterministicRng`] (or a raw seed) and produce the
+//! same relations and query mixes on every platform.
 //!
 //! * [`hospital`] — the paper's §2 worked example: patients across
 //!   three hospitals with flow distribution `(0.2, 0.3, 0.5)` and

@@ -2,12 +2,13 @@
 //!
 //! Two components may never change a single decision:
 //!
-//! 1. **`ScanKernel` ≡ scalar `matches`.** The 4-lane kernel stages
-//!    words into an interleaved SHA-256 PRF pipeline; for every random
-//!    parameter shape (`word_len` / `check_len` / `check_bits`), every
-//!    lane-remainder size (0–3 trailing words at the flush), and every
-//!    word — consistent, random, or length-mismatched — its decision
-//!    must equal the scalar reference, in push order.
+//! 1. **`ScanKernel` ≡ scalar `matches`.** The `LANES`-wide kernel
+//!    stages words into an interleaved SHA-256 PRF pipeline; for every
+//!    random parameter shape (`word_len` / `check_len` / `check_bits`),
+//!    every lane-remainder size (0 to `LANES - 1` trailing words at the
+//!    flush, decided by the scalar path or one padded dispatch), and
+//!    every word — consistent, random, or length-mismatched — its
+//!    decision must equal the scalar reference, in push order.
 //! 2. **`WordArena` ≡ `Vec<Doc>`.** The columnar shard storage must
 //!    reassemble documents byte-identically to the boxed layout under
 //!    arbitrary append/delete/repartition churn, including words whose
@@ -203,6 +204,51 @@ proptest! {
         }
         // Canonical representation: equal to an arena built in one shot.
         prop_assert_eq!(arena, WordArena::from_docs(word_len, reference));
+    }
+}
+
+/// Deterministic remainder sweep (outside proptest, so every count
+/// runs every time): each word count in `0..=2*LANES+1` — every flush
+/// remainder, scalar and padded, after zero, one and two full
+/// dispatches — on a reused kernel, so padded lanes hold stale bytes
+/// from the previous scan.
+#[test]
+fn kernel_matches_scalar_at_every_word_count() {
+    let params = SwpParams::new(13, 4, 32).unwrap();
+    let key = b"sweep key".to_vec();
+    let target: Vec<u8> = (0..params.word_len as u8).collect();
+    let td = RawTrapdoor {
+        target: target.clone(),
+        key: key.clone(),
+    };
+    let prepared = PreparedTrapdoor::new(&td);
+    let mut kernel = ScanKernel::new(params, &prepared);
+    for count in 0..=2 * LANES + 1 {
+        let words: Vec<Vec<u8>> = (0..count)
+            .map(|i| match i % 3 {
+                0 => consistent_word(&params, &target, &key, &[i as u8, count as u8]),
+                1 => vec![(i * 31 + count) as u8; params.word_len],
+                _ => vec![i as u8; params.word_len - 1],
+            })
+            .collect();
+        let mut got: Vec<(u32, bool)> = Vec::new();
+        {
+            let mut sink = |tag: u32, ok: bool| got.push((tag, ok));
+            for (i, w) in words.iter().enumerate() {
+                kernel.push(i as u32, w, &mut sink);
+            }
+            kernel.flush(&mut sink);
+        }
+        let want: Vec<(u32, bool)> = words
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (i as u32, matches(&params, &td, &CipherWord(w.clone()))))
+            .collect();
+        assert_eq!(got, want, "kernel diverged at {count} words");
+        assert!(
+            (0..count).step_by(3).all(|i| got[i].1),
+            "a consistent word was rejected at {count} words"
+        );
     }
 }
 
